@@ -36,10 +36,9 @@ step build 900 cargo build --release
 step test-debug 1800 cargo test -q
 # Chaos smoke + determinism regression: the deterministic multi-fault
 # scenario set, the byte-identical-exports checks across thread counts,
-# the 256-node scale-cell determinism check, and the cross-backend
-# interpreter equivalence suite (whose chaos-campaign lock-step is
-# release-gated). All run in release (the scenarios simulate seconds of
-# cluster time; debug builds are gated off with #[ignore] to keep the
+# the 256-node scale-cell determinism check, and the pinned send_chunk
+# interpreter goldens. All run in release (the scenarios simulate seconds
+# of cluster time; debug builds are gated off with #[ignore] to keep the
 # tier under budget).
 step chaos-determinism 900 cargo test --release -q -p ftgm-core \
     --test chaos_smoke --test determinism --test cpu_equivalence
@@ -62,15 +61,14 @@ step chaos-bench 900 cargo run --release -q -p ftgm-bench --bin chaosx
 # BENCH_scale.json is run manually: cargo run --release -p ftgm-bench
 # --bin scale.
 step scale-smoke 600 cargo run --release -q -p ftgm-bench --bin scale -- --smoke
-# Microbench smoke: the decoded-vs-reference send_chunk pair, the
-# batched calendar drain vs its single-pop twin, and the fabric walk.
+# Microbench smoke: the batched calendar drain vs its single-pop twin,
+# and the fabric walk.
 # The shim's timings are machine noise and not asserted; the grep below
 # gates on every bench line being *present*, so a bench that stops
 # compiling, panics, or gets dropped from the group fails the tier.
 step micro-bench 600 sh -c \
     'cargo bench -q -p ftgm-bench --bench micro_benches > results/micro_bench.txt 2>&1'
-for key in 'interp/send_chunk_decoded' 'interp/send_chunk_reference' \
-    'sched/drain_batched' 'sched/drain_single_pop' \
+for key in 'sched/drain_batched' 'sched/drain_single_pop' \
     'net/fabric_walk_fat_tree64'; do
     grep -q "bench $key" results/micro_bench.txt || {
         echo "results/micro_bench.txt: missing bench line $key" >&2
@@ -91,6 +89,19 @@ step scenario-bench 900 cargo run --release -q -p ftgm-bench --bin scenariox
 # BENCH_mpi.json is run manually: cargo run --release -p ftgm-bench
 # --bin mpi.
 step mpi-bench 600 cargo run --release -q -p ftgm-bench --bin mpi -- --smoke
+# Repository benchmark (perfbench/, described by BENCHMARK.json): it
+# builds against the crates' public API, so API changes must keep it
+# compiling and its results unchanged. Its own tests, then one short run
+# per workload: the run exits non-zero on any correctness check, including
+# the committed seed-2003 digests in perfbench/src/check.rs. Timings are
+# printed, not asserted. The tests build into .bench_build, run.py's
+# default target directory, so the runs reuse that build.
+step perfbench-tests 600 env CARGO_TARGET_DIR=.bench_build \
+    cargo test --release -q --manifest-path perfbench/Cargo.toml
+step perfbench-gate 600 sh -c '
+    python3 perfbench/run.py --workload ft8_dense --seed 2003 --seconds 5 --trace 0 &&
+    python3 perfbench/run.py --workload ft1024_idle_hang --seed 2003 --seconds 3 --trace 0 &&
+    python3 perfbench/run.py --workload bitflip_ftgm --seed 2003 --seconds 6 --trace 0'
 
 # Schema sanity: the committed summaries must carry the expected keys and
 # stay integer-valued (a float would mean platform-dependent
@@ -104,11 +115,9 @@ for key in '"schema": "ftgm-slo-v1"' '"cells"' '"steady_p50_ns"' \
         exit 1
     }
 done
-for key in '"schema": "ftgm-scale-v1"' '"sched_cells"' '"world_cells"' \
+for key in '"schema": "ftgm-scale-v2"' '"sched_cells"' '"world_cells"' \
     '"cal_checksum"' '"heap_checksum"' '"checksums_match"' \
     '"speedup_permille"' '"recovery_blackout_ns"' '"events_delivered"' \
-    '"interp_cells"' '"dec_checksum"' '"ref_checksum"' \
-    '"label": "interp_alu_deep"' '"label": "interp_send_deep"' \
     '"violations": 0'; do
     grep -q "$key" BENCH_scale.json || {
         echo "BENCH_scale.json: missing required key $key" >&2

@@ -1,10 +1,7 @@
-//! Microbenchmarks for the decoded-interpreter and batched-drain work.
+//! Microbenchmarks for the scheduler drain and the fabric walk.
 //!
-//! Three hot paths, each with its oracle twin where one exists:
+//! Two hot paths, each with its oracle twin where one exists:
 //!
-//! * `send_chunk` on the decoded backend vs the verbatim reference
-//!   interpreter — the firmware-level view of the decode cache (the
-//!   instruction-bound view is the `interp_*` cells in `bin/scale`).
 //! * Calendar-queue drain via [`Scheduler::pop_run`] (one bucket locate
 //!   per same-timestamp run) vs the equivalent repeated-[`Scheduler::pop`]
 //!   loop.
@@ -18,60 +15,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use ftgm_lanai::cpu::RETURN_ADDR;
-use ftgm_lanai::isa::Reg;
-use ftgm_lanai::{CpuBackend, LanaiChip};
-use ftgm_mcp::firmware::{layout, FirmwareImage};
 use ftgm_net::{Fabric, FabricParams, Mapper, NodeId, Topology};
 use ftgm_sim::{Scheduler, SimDuration, SimTime};
-
-/// A chip loaded with the real firmware and a staged 1 KB send record,
-/// ready for back-to-back `send_chunk` invocations (decode cache warm
-/// after the first).
-fn staged_chip(backend: CpuBackend) -> (LanaiChip, u32) {
-    let fw = FirmwareImage::build();
-    let mut chip = LanaiChip::new(layout::SRAM_LEN);
-    chip.backend = backend;
-    chip.sram.write_bytes(layout::CODE_BASE, fw.bytes());
-    let stage = FirmwareImage::slab_addr(0);
-    chip.sram.write_bytes(stage, &vec![0xAB; 1024]);
-    use layout::sendrec as o;
-    let sr = layout::SENDREC;
-    for (off, v) in [
-        (o::STAGE_ADDR, stage),
-        (o::LEN, 1024),
-        (o::SEQ, 1),
-        (o::STREAM, 0x1234),
-        (o::MSG_LEN, 1024),
-        (o::CHUNK_OFF, 0),
-        (o::HDR_BUF, layout::PKT_BUF),
-        (o::STATUS_HOST, 0),
-    ] {
-        chip.sram.write_u32(sr + off, v).unwrap();
-    }
-    (chip, fw.entry_send())
-}
-
-fn bench_send_chunk_backends(c: &mut Criterion) {
-    let mut g = c.benchmark_group("interp");
-    for (name, backend) in [
-        ("send_chunk_decoded", CpuBackend::Decoded),
-        ("send_chunk_reference", CpuBackend::Reference),
-    ] {
-        let (mut chip, entry) = staged_chip(backend);
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                chip.cpu.set_reg(Reg::LINK, RETURN_ADDR);
-                let out = chip.run_routine(SimTime::ZERO, entry, 20_000);
-                assert!(out.is_completed(), "send_chunk must complete: {out:?}");
-                // Drain the emitted frame so the effect queue stays flat.
-                chip.take_effects();
-                out.cycles()
-            })
-        });
-    }
-    g.finish();
-}
 
 /// A scheduler populated with heavy same-timestamp runs: 8 192 events on
 /// a coarse 512 ns lattice of 64 distinct instants — the shape world
@@ -147,7 +92,6 @@ fn bench_fabric_walk(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_send_chunk_backends,
     bench_calendar_drain,
     bench_fabric_walk
 );

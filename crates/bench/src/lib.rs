@@ -30,6 +30,7 @@ use ftgm_gm::apps::{
 };
 use ftgm_gm::{World, WorldConfig};
 use ftgm_host::CpuCost;
+use ftgm_mcp::LanaiCost;
 use ftgm_net::NodeId;
 use ftgm_sim::{SimDuration, SimTime};
 
@@ -147,11 +148,7 @@ pub fn measure_table2(config: &WorldConfig) -> Table2Row {
         / n;
     let lanai_total = |i: usize| {
         let m = &w.nodes[i].mcp;
-        let lt = m
-            .accounting()
-            .get("ltimer")
-            .copied()
-            .unwrap_or(SimDuration::ZERO);
+        let lt = m.accounting().get(LanaiCost::Ltimer);
         m.lanai_busy().as_micros_f64() - lt.as_micros_f64()
     };
     let lanai_us = (lanai_total(0) + lanai_total(1)) / n;

@@ -35,7 +35,6 @@ use std::fmt;
 use ftgm_sim::SimTime;
 
 use crate::cpu::{Cpu, CsrBus};
-use crate::decode::{CpuBackend, DecodeCache};
 use crate::sram::Sram;
 use crate::timers::{IntervalTimer, TimerId};
 
@@ -167,9 +166,6 @@ pub struct LanaiChip {
     pub sram: Sram,
     /// The RISC core's register file.
     pub cpu: Cpu,
-    /// Which interpreter [`LanaiChip::run_routine`] dispatches to.
-    pub backend: CpuBackend,
-    decode_cache: DecodeCache,
     timers: [IntervalTimer; 3],
     isr: u32,
     imr: u32,
@@ -199,8 +195,6 @@ impl LanaiChip {
         LanaiChip {
             sram: Sram::new(sram_len),
             cpu: Cpu::new(),
-            backend: CpuBackend::default(),
-            decode_cache: DecodeCache::new(),
             timers: [IntervalTimer::new(); 3],
             isr: 0,
             imr: 0,
@@ -262,20 +256,12 @@ impl LanaiChip {
         use crate::cpu::RunOutcome;
         self.csr_now = now;
         // Split borrows: the CPU mutates SRAM while CSR accesses mutate the
-        // chip's latches, so temporarily move both out of `self` (the
-        // decode cache rides along the same way). CSR handlers that need
-        // memory (checksum, TX gather) receive the SRAM by reference
-        // through the `CsrBus` trait.
+        // chip's latches, so temporarily move both out of `self`. CSR
+        // handlers that need memory (checksum, TX gather) receive the SRAM
+        // by reference through the `CsrBus` trait.
         let mut cpu = self.cpu.clone();
         let mut sram = std::mem::replace(&mut self.sram, Sram::new(0));
-        let mut cache = std::mem::take(&mut self.decode_cache);
-        let outcome = match self.backend {
-            CpuBackend::Reference => cpu.run(&mut sram, self, entry, max_steps),
-            CpuBackend::Decoded => {
-                crate::decode::run_decoded(&mut cpu, &mut sram, self, entry, max_steps, &mut cache)
-            }
-        };
-        self.decode_cache = cache;
+        let outcome = cpu.run(&mut sram, self, entry, max_steps);
         self.sram = sram;
         self.cpu = cpu;
         match outcome {

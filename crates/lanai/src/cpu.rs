@@ -139,14 +139,6 @@ impl Cpu {
         }
     }
 
-    /// The raw register file, for the decoded backend's hot loop (which
-    /// passes it to its op handlers directly so the array pointer can
-    /// stay register-resident).
-    #[inline(always)]
-    pub(crate) fn regs_raw_mut(&mut self) -> &mut [u32; 16] {
-        &mut self.regs
-    }
-
     /// Runs from `entry` until return, trap, or `max_steps` instructions.
     ///
     /// The register file persists across calls so the invoker can pass
@@ -169,16 +161,14 @@ impl Cpu {
             if pc == RETURN_ADDR {
                 return RunOutcome::Completed { cycles, steps };
             }
-            if !pc.is_multiple_of(4) || pc as usize + 4 > sram.len() {
+            // A misaligned or out-of-range fetch is a wild jump.
+            let Ok(word) = sram.read_u32(pc) else {
                 return RunOutcome::Trap {
                     kind: TrapKind::PcOutOfRange,
                     pc,
                     cycles,
                 };
-            }
-            let word = sram
-                .read_u32(pc)
-                .expect("pc bounds checked above");
+            };
             let Some(i) = Instr::decode(word) else {
                 return RunOutcome::Trap {
                     kind: TrapKind::IllegalInstruction,

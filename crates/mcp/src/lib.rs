@@ -32,7 +32,8 @@ pub mod params;
 pub use firmware::{layout, FirmwareImage};
 pub use gobackn::{ChunkRecord, ReceiverStream, SenderStream, StreamKey};
 pub use machine::{
-    McpEffect, McpMachine, McpStats, NicEvent, RecvTokenDesc, SendDesc, PORTS_PER_NODE,
+    LanaiAccounting, LanaiCost, McpEffect, McpMachine, McpStats, NicEvent, RecvTokenDesc,
+    SendDesc, PORTS_PER_NODE,
 };
 pub use packet::{Header, PacketType, ParseError};
 pub use params::{FtgmKnobs, McpParams, Variant};

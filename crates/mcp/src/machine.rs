@@ -204,6 +204,72 @@ struct PortState {
     epoch: u64,
 }
 
+/// What a slice of LANai time was spent on: one category per handler
+/// cost in [`McpParams`], plus the interpreted `send_chunk` time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LanaiCost {
+    /// Per-dispatch overhead of the MCP's main loop.
+    Dispatch,
+    /// `L_timer()` housekeeping body.
+    Ltimer,
+    /// Interpreted `send_chunk` firmware (cycles × clock period).
+    SendChunk,
+    /// Receive-path processing of an arriving frame.
+    Rx,
+    /// Building an ACK/NACK.
+    AckBuild,
+    /// Processing a received ACK/NACK.
+    AckProcess,
+    /// Posting a receive or send-completion event to the host.
+    EventPost,
+    /// Setting up the send DMA (host → SRAM staging).
+    SdmaSetup,
+    /// Setting up the receive DMA (SRAM → host delivery).
+    RdmaSetup,
+    /// FTGM's extra per-send work.
+    FtgmSendExtra,
+    /// FTGM's extra per-receive work.
+    FtgmRecvExtra,
+}
+
+impl LanaiCost {
+    /// All categories, for reporting.
+    pub const ALL: [LanaiCost; 11] = [
+        LanaiCost::Dispatch,
+        LanaiCost::Ltimer,
+        LanaiCost::SendChunk,
+        LanaiCost::Rx,
+        LanaiCost::AckBuild,
+        LanaiCost::AckProcess,
+        LanaiCost::EventPost,
+        LanaiCost::SdmaSetup,
+        LanaiCost::RdmaSetup,
+        LanaiCost::FtgmSendExtra,
+        LanaiCost::FtgmRecvExtra,
+    ];
+}
+
+/// LANai busy time per [`LanaiCost`] category (Table 2's LANai
+/// utilization), one array slot per category.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LanaiAccounting([SimDuration; LanaiCost::ALL.len()]);
+
+impl LanaiAccounting {
+    /// Time charged to `cat`.
+    pub fn get(&self, cat: LanaiCost) -> SimDuration {
+        self.0[cat as usize]
+    }
+
+    /// Total time over every category.
+    pub fn total(&self) -> SimDuration {
+        self.0.iter().fold(SimDuration::ZERO, |a, d| a + *d)
+    }
+
+    fn charge(&mut self, cat: LanaiCost, d: SimDuration) {
+        self.0[cat as usize] += d;
+    }
+}
+
 /// Protocol/behaviour counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct McpStats {
@@ -283,7 +349,7 @@ pub struct McpMachine {
     status_report_addr: u64,
     effects: Vec<McpEffect>,
     stats: McpStats,
-    account: BTreeMap<&'static str, SimDuration>,
+    account: LanaiAccounting,
     ltimer_times: Vec<SimTime>,
     ltimer_log_cap: usize,
 }
@@ -310,7 +376,6 @@ impl McpMachine {
     pub fn new(node: NodeId, params: McpParams) -> McpMachine {
         let firmware = FirmwareImage::build();
         let mut chip = LanaiChip::new(layout::SRAM_LEN);
-        chip.backend = params.cpu_backend;
         chip.sram.write_bytes(layout::CODE_BASE, firmware.bytes());
         McpMachine {
             chip,
@@ -342,7 +407,7 @@ impl McpMachine {
             status_report_addr: 0,
             effects: Vec::new(),
             stats: McpStats::default(),
-            account: BTreeMap::new(),
+            account: LanaiAccounting::default(),
             ltimer_times: Vec::new(),
             ltimer_log_cap: 100_000,
         }
@@ -369,13 +434,13 @@ impl McpMachine {
     }
 
     /// LANai busy time per handler category (Table 2's LANai utilization).
-    pub fn accounting(&self) -> &BTreeMap<&'static str, SimDuration> {
+    pub fn accounting(&self) -> &LanaiAccounting {
         &self.account
     }
 
     /// Total LANai busy time.
     pub fn lanai_busy(&self) -> SimDuration {
-        self.account.values().fold(SimDuration::ZERO, |a, d| a + *d)
+        self.account.total()
     }
 
     /// Recorded `L_timer()` invocation instants (§4.2's gap measurement).
@@ -681,13 +746,9 @@ impl McpMachine {
             return false;
         }
         self.busy_until = now + self.params.dispatch_overhead + cost;
-        self.charge("dispatch", self.params.dispatch_overhead);
+        self.account.charge(LanaiCost::Dispatch, self.params.dispatch_overhead);
         self.drain_chip_effects();
         true
-    }
-
-    fn charge(&mut self, cat: &'static str, d: SimDuration) {
-        *self.account.entry(cat).or_insert(SimDuration::ZERO) += d;
     }
 
     // --- handlers ---------------------------------------------------------
@@ -736,7 +797,7 @@ impl McpMachine {
             self.chip
                 .arm_timer(TimerId::It1, now, self.params.watchdog_ticks);
         }
-        self.charge("ltimer", self.params.ltimer_body);
+        self.account.charge(LanaiCost::Ltimer, self.params.ltimer_body);
         self.params.ltimer_body
     }
 
@@ -749,7 +810,7 @@ impl McpMachine {
         let frame =
             Header::control_frame_prio(ptype, self.node, port_field, 0, seq, key.prio_high);
         self.transmit(key.node, frame);
-        self.charge("ack_build", self.params.ack_build);
+        self.account.charge(LanaiCost::AckBuild, self.params.ack_build);
         self.params.ack_build
     }
 
@@ -775,9 +836,9 @@ impl McpMachine {
         let mut cost = self.params.rx_process;
         if self.params.is_ftgm() {
             cost += self.params.ftgm_recv_extra;
-            self.charge("ftgm_recv_extra", self.params.ftgm_recv_extra);
+            self.account.charge(LanaiCost::FtgmRecvExtra, self.params.ftgm_recv_extra);
         }
-        self.charge("rx", self.params.rx_process);
+        self.account.charge(LanaiCost::Rx, self.params.rx_process);
         match Header::parse(&frame.bytes) {
             Err(_) => {
                 self.stats.parse_drops += 1;
@@ -789,12 +850,12 @@ impl McpMachine {
                 }
                 PacketType::Ack => {
                     self.handle_ack(now, h);
-                    self.charge("ack_process", self.params.ack_process);
+                    self.account.charge(LanaiCost::AckProcess, self.params.ack_process);
                     cost += self.params.ack_process;
                 }
                 PacketType::Nack => {
                     self.handle_nack(h);
-                    self.charge("ack_process", self.params.ack_process);
+                    self.account.charge(LanaiCost::AckProcess, self.params.ack_process);
                     cost += self.params.ack_process;
                 }
             },
@@ -951,7 +1012,7 @@ impl McpMachine {
             commits_final,
             completion,
         });
-        self.charge("rdma_setup", self.params.rdma_setup);
+        self.account.charge(LanaiCost::RdmaSetup, self.params.rdma_setup);
     }
 
     /// The highest ACK value this stream may advertise: its expected
@@ -1079,7 +1140,7 @@ impl McpMachine {
                 }
                 if let Some((port, event)) = completion {
                     self.effects.push(McpEffect::PostEvent { port, event });
-                    self.charge("event_post", self.params.event_post);
+                    self.account.charge(LanaiCost::EventPost, self.params.event_post);
                     self.params.event_post
                 } else {
                     SimDuration::from_nanos(200)
@@ -1181,10 +1242,10 @@ impl McpMachine {
             stream: key,
         });
         let mut cost = self.params.sdma_setup;
-        self.charge("sdma_setup", self.params.sdma_setup);
+        self.account.charge(LanaiCost::SdmaSetup, self.params.sdma_setup);
         if self.params.is_ftgm() {
             cost += self.params.ftgm_send_extra;
-            self.charge("ftgm_send_extra", self.params.ftgm_send_extra);
+            self.account.charge(LanaiCost::FtgmSendExtra, self.params.ftgm_send_extra);
         }
         cost
     }
@@ -1290,7 +1351,7 @@ impl McpMachine {
             .chip
             .run_routine(self.busy_until, entry, self.params.firmware_budget);
         let fw_time = self.params.cycle * outcome.cycles();
-        self.charge("send_chunk", fw_time);
+        self.account.charge(LanaiCost::SendChunk, fw_time);
         let dst = rec.dst_node;
         for e in self.chip.take_effects() {
             match e {
@@ -1844,9 +1905,11 @@ pub(crate) mod tests {
         rig.send(0, 0, NodeId(1), 2, &[1u8; 512], 7, None);
         rig.settle();
         let acct = rig.a.accounting();
-        for key in ["dispatch", "sdma_setup", "send_chunk"] {
-            assert!(acct.contains_key(key), "missing {key}: {acct:?}");
+        for cat in [LanaiCost::Dispatch, LanaiCost::SdmaSetup, LanaiCost::SendChunk] {
+            assert!(acct.get(cat) > SimDuration::ZERO, "nothing charged to {cat:?}: {acct:?}");
         }
+        assert_eq!(acct.get(LanaiCost::FtgmSendExtra), SimDuration::ZERO, "GM charges no FTGM extra");
+        assert_eq!(rig.a.lanai_busy(), acct.total());
         assert!(rig.a.lanai_busy() > SimDuration::ZERO);
     }
 }
