@@ -34,12 +34,12 @@ step() {
 
 step build 900 cargo build --release
 step test-debug 1800 cargo test -q
-# Chaos smoke + determinism regression: the deterministic multi-fault
-# scenario set, the byte-identical-exports checks across thread counts,
-# the 256-node scale-cell determinism check, and the pinned send_chunk
-# interpreter goldens. All run in release (the scenarios simulate seconds
-# of cluster time; debug builds are gated off with #[ignore] to keep the
-# tier under budget).
+# Chaos smoke + determinism regression: the standard multi-fault
+# scenarios loaded from scenarios/, the whole corpus's byte-identical
+# exports across thread counts, the 256-node scale-cell determinism
+# check, and the pinned send_chunk interpreter goldens. All run in
+# release (the scenarios simulate seconds of cluster time; debug builds
+# are gated off with #[ignore] to keep the tier under budget).
 step chaos-determinism 900 cargo test --release -q -p ftgm-core \
     --test chaos_smoke --test determinism --test cpu_equivalence
 mkdir -p results
@@ -49,12 +49,6 @@ step lint 120 cargo run -q -p ftgm-lint -- --deny-new --quiet \
 # BENCH_slo.json (plus results/slo_summary.json) on every green build
 # and exits non-zero on any SLO-oracle violation.
 step slo-bench 900 cargo run --release -q -p ftgm-bench --bin slo
-# Correlated-fault sweep: {star8, ring8, fat_tree64} x {two-NIC hang,
-# switch death, flap-during-recovery, cascade} under the zone
-# coordinator. Rewrites BENCH_chaos.json on every green build and exits
-# non-zero if any scenario violates an oracle or the fat-tree
-# spine-death cell fails to restore goodput by reroute.
-step chaos-bench 900 cargo run --release -q -p ftgm-bench --bin chaosx
 # Scale-bench smoke: the 8-node scheduler and world cells only, as a
 # differential gate (calendar queue vs heap oracle checksums, recovery
 # blackout bound). The full {8,64,256} sweep that rewrites
@@ -75,9 +69,11 @@ for key in 'sched/drain_batched' 'sched/drain_single_pop' \
         exit 1
     }
 done
-# Scenario-DSL corpus replay: every scenarios/*.ftsc file parses,
-# compiles, runs, matches its `expect` verdict, violates no oracle, and
-# produces JSON byte-identical to scenarios/golden/<name>.json. After an
+# Scenario-DSL corpus replay, the only chaos-campaign driver: every
+# scenarios/*.ftsc file parses, compiles, runs, matches its `expect`
+# verdict, violates no oracle, and produces JSON byte-identical to
+# scenarios/golden/<name>.json. The same run rewrites BENCH_chaos.json,
+# results/metrics_summary.json and results/traces/. After an
 # intentional behavior change, regenerate with: cargo run --release -p
 # ftgm-bench --bin scenariox -- --update (see docs/SCENARIOS.md).
 step scenario-bench 900 cargo run --release -q -p ftgm-bench --bin scenariox
@@ -124,7 +120,7 @@ for key in '"schema": "ftgm-scale-v2"' '"sched_cells"' '"world_cells"' \
         exit 1
     }
 done
-for key in '"schema": "ftgm-chaos-v1"' '"scenarios"' '"verdict"' \
+for key in '"schema": "ftgm-chaos-v2"' '"scenarios"' '"verdict"' \
     '"resolutions"' '"zone_reroutes"' '"max_blackout_ns"' \
     '"fabric_drops"' '"bad_link_drops"' '"violations": 0'; do
     grep -q "$key" BENCH_chaos.json || {

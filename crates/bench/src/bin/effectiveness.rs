@@ -17,9 +17,7 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(2003);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    let threads = ftgm_sim::default_threads();
     eprintln!("§5.2: {runs} injection runs on FTGM with recovery (seed {seed})…");
     let c = run_campaign(&RunConfig::effectiveness(), seed, runs, threads);
     println!("\nRecovery effectiveness under FTGM ({runs} runs)\n");

@@ -19,9 +19,7 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(2003);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    let threads = ftgm_sim::default_threads();
     eprintln!("forensics: {runs} runs (seed {seed})…");
     let campaign = run_campaign(&RunConfig::table1(), seed, runs, threads);
     let image = FirmwareImage::build().bytes().to_vec();

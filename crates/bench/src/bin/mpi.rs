@@ -19,7 +19,7 @@ use ftgm_bench::mpi::{blackout_ns, check, mpi_cells, run_cells, summary_json};
 fn main() {
     let mut smoke = false;
     let mut seed: u64 = 2003;
-    let mut threads: usize = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
+    let mut threads = ftgm_sim::default_threads();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--smoke" {

@@ -15,10 +15,10 @@
 
 use ftgm_faults::chaos::{ChaosAction, ChaosTopology};
 use ftgm_workload::{
-    reports_to_json, run_suite_parallel, topology_label, Arrival, ClientModel, FlowSpec,
-    PhaseKind, SizeMix, SloBounds, SloReport, Variant, WorkloadSpec,
+    reports_to_json, run_spec, topology_label, Arrival, ClientModel, FlowSpec, PhaseKind,
+    SizeMix, SloBounds, SloReport, Variant, WorkloadSpec,
 };
-use ftgm_sim::SimDuration;
+use ftgm_sim::{default_threads, par_map, SimDuration};
 
 /// One sweep cell: a spec plus the labels the summary keys on.
 struct Cell {
@@ -334,12 +334,8 @@ fn main() {
         .unwrap_or(2003);
 
     let cells = build_cells(seed);
-    let specs: Vec<WorkloadSpec> = cells.iter().map(|c| c.spec.clone()).collect();
     eprintln!("slo: {} cells (seed {seed})…", cells.len());
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let reports = run_suite_parallel(&specs, threads);
+    let reports = par_map(&cells, default_threads(), |c| run_spec(&c.spec));
 
     // Oracle: steady-state overhead vs the matching GM baseline, and
     // recovery bounds on every faulted cell. The per-message (p50)

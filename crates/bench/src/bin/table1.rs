@@ -17,9 +17,7 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(2003);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    let threads = ftgm_sim::default_threads();
     eprintln!("Table 1: {runs} injection runs on GM (seed {seed}, {threads} threads)…");
     let c = run_campaign(&RunConfig::table1(), seed, runs, threads);
     println!("\nTable 1. Results of fault injection on the simulated Myrinet system ({runs} runs)\n");

@@ -30,7 +30,7 @@ use ftgm_gm::WorldConfig;
 use ftgm_mpi::{
     MpiHarness, Op, OpResult, RankProgram, RecoveryConfig, RestartPolicy,
 };
-use ftgm_sim::SimDuration;
+use ftgm_sim::{par_map, SimDuration};
 
 /// Which communication pattern the cell's ranks run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -503,58 +503,35 @@ pub fn run_mpi_cell(cell: &MpiCell, seed: u64, inject_at: SimDuration) -> MpiCel
     }
 }
 
-/// Runs every cell across `threads` workers (slot-per-cell, atomic
-/// cursor), returning results in cell order. Fault-free twins run
-/// first; each fault cell's injection then lands at half its twin's
-/// completion time, guaranteed mid-run. Every cell is one
-/// self-contained simulated world and the pass split is by cell kind,
-/// so the result vector is identical for any worker count — the
+/// Runs every cell over [`par_map`], returning results in cell order.
+/// Fault-free twins run first; each fault cell's injection then lands at
+/// half its twin's completion time, guaranteed mid-run. Every cell is
+/// one self-contained simulated world and the pass split is by cell
+/// kind, so the result vector is identical for any worker count — the
 /// determinism tests compare 1 vs 3.
 pub fn run_cells(cells: &[MpiCell], seed: u64, threads: usize) -> Vec<MpiCellResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let slots: Mutex<Vec<Option<MpiCellResult>>> = Mutex::new(vec![None; cells.len()]);
-    for fault_pass in [false, true] {
-        let cursor = AtomicUsize::new(0);
-        let indices: Vec<usize> = cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| (c.fault != MpiFault::None) == fault_pass)
-            .map(|(i, _)| i)
-            .collect();
-        let inject: Vec<SimDuration> = indices
-            .iter()
-            .map(|&i| {
-                let done = slots.lock().unwrap();
-                let twin = done
-                    .iter()
-                    .flatten()
-                    .find(|r| {
-                        r.cell.pattern == cells[i].pattern
-                            && r.cell.ranks == cells[i].ranks
-                            && r.cell.fault == MpiFault::None
-                    })
-                    .map_or(0, |r| r.completion_ns);
-                SimDuration::from_nanos(twin / 2)
-            })
-            .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.max(1) {
-                scope.spawn(|| loop {
-                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = indices.get(slot) else { break };
-                    eprintln!("  cell {}…", cells[i].label);
-                    let r = run_mpi_cell(&cells[i], seed, inject[slot]);
-                    slots.lock().unwrap()[i] = Some(r);
-                });
+    let (twins, faulted): (Vec<MpiCell>, Vec<MpiCell>) =
+        cells.iter().copied().partition(|c| c.fault == MpiFault::None);
+    let run = |cell: &MpiCell, inject| {
+        eprintln!("  cell {}…", cell.label);
+        run_mpi_cell(cell, seed, inject)
+    };
+    let twin_results = par_map(&twins, threads, |c| run(c, SimDuration::ZERO));
+    let fault_results = par_map(&faulted, threads, |c| {
+        let twin_ns = twin_of(&twin_results, c).map_or(0, |t| t.completion_ns);
+        run(c, SimDuration::from_nanos(twin_ns / 2))
+    });
+    let mut twin_results = twin_results.into_iter();
+    let mut fault_results = fault_results.into_iter();
+    cells
+        .iter()
+        .filter_map(|c| {
+            if c.fault == MpiFault::None {
+                twin_results.next()
+            } else {
+                fault_results.next()
             }
-        });
-    }
-    slots
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|r| r.expect("every slot filled"))
+        })
         .collect()
 }
 

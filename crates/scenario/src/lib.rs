@@ -33,11 +33,14 @@
 //! byte soup without panicking, a property the fuzz suite pins.
 //!
 //! Scenario files live in `scenarios/` (goldens in `scenarios/golden/`,
-//! rejection fixtures in `scenarios/bad/`); `docs/SCENARIOS.md` is the
-//! grammar reference.
+//! rejection fixtures in `scenarios/bad/`) and load through
+//! [`load_corpus`](corpus::load_corpus); that corpus is the only
+//! definition of the repository's chaos campaigns. `docs/SCENARIOS.md`
+//! is the grammar reference.
 
 pub mod ast;
 pub mod compile;
+pub mod corpus;
 pub mod gen;
 pub mod parse;
 pub mod print;
@@ -46,8 +49,9 @@ pub mod scan;
 
 pub use ast::Spec;
 pub use compile::{compile, CompiledScenario, DEFAULT_SEED};
+pub use corpus::load_corpus;
 pub use gen::gen_spec;
 pub use parse::{parse, render_diags, Diag};
 pub use print::print;
-pub use run::{run_compiled, run_corpus_parallel, run_text, ExpectMismatch, ScenarioOutcome};
+pub use run::{run_compiled, run_text, ExpectMismatch, ScenarioOutcome};
 pub use scan::{scan, Tok, TokKind};

@@ -1,74 +1,43 @@
 //! Corpus gates.
 //!
-//! Debug tier: every `scenarios/*.ftsc` parses, compiles, and prints
-//! round-trip — so a grammar change that orphans the corpus fails
-//! `cargo test` immediately. Release tier (tier-1 via ci.sh) replays the
-//! whole corpus: expect verdicts, oracle cleanliness, byte-stable
-//! goldens, and 1-vs-3-thread invariance.
+//! Debug tier: every `scenarios/*.ftsc` loads (parses, compiles, and
+//! names itself after its file stem) and prints round-trip — so a
+//! grammar change that orphans the corpus fails `cargo test`
+//! immediately. The release-gated replay below repeats, in-process, the
+//! gate CI runs through the `scenariox` bin: expect verdicts, oracle
+//! cleanliness, and byte-stable goldens. Thread-count invariance of
+//! the corpus run is pinned by `tests/determinism.rs`.
 
 use std::fs;
 use std::path::PathBuf;
 
 use ftgm_scenario::{
-    compile, parse, print, render_diags, run_compiled, run_corpus_parallel, run_text,
-    CompiledScenario,
+    load_corpus, parse, print, render_diags, run_compiled, run_text, CompiledScenario, Spec,
 };
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
-fn corpus_sources() -> Vec<(PathBuf, String)> {
-    let mut files: Vec<PathBuf> = fs::read_dir(corpus_dir())
-        .expect("scenarios/ must exist")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "ftsc"))
-        .collect();
-    files.sort();
-    files
-        .into_iter()
-        .map(|p| {
-            let src = fs::read_to_string(&p).expect("corpus file readable");
-            (p, src)
-        })
-        .collect()
-}
-
-fn compiled_corpus() -> Vec<CompiledScenario> {
-    corpus_sources()
-        .iter()
-        .map(|(path, src)| match parse(src) {
-            Ok(spec) => compile(&spec),
-            Err(diags) => panic!("{} rejected:\n{}", path.display(), render_diags(&diags)),
-        })
-        .collect()
+fn corpus() -> Vec<(Spec, CompiledScenario)> {
+    load_corpus(&corpus_dir()).unwrap_or_else(|errors| panic!("{}", errors.join("\n")))
 }
 
 #[test]
 fn corpus_has_at_least_25_scenarios() {
-    assert!(
-        corpus_sources().len() >= 25,
-        "corpus shrank below the 25-file floor ({})",
-        corpus_sources().len()
-    );
+    let n = corpus().len();
+    assert!(n >= 25, "corpus shrank below the 25-file floor ({n})");
 }
 
 #[test]
 fn every_corpus_file_parses_compiles_and_round_trips() {
-    for (path, src) in corpus_sources() {
-        let spec = match parse(&src) {
-            Ok(s) => s,
-            Err(diags) => panic!("{} rejected:\n{}", path.display(), render_diags(&diags)),
-        };
-        // The file stem is the scenario name — goldens key on it.
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-        assert_eq!(spec.name, stem, "{}: name must match file stem", path.display());
+    for (spec, _) in corpus() {
         // Canonical spelling must survive a reparse.
         let canon = print(&spec);
-        let reparsed = parse(&canon)
-            .unwrap_or_else(|d| panic!("{}: canonical form rejected:\n{}", path.display(), render_diags(&d)));
-        assert_eq!(reparsed, spec, "{}: print/parse round trip drifted", path.display());
-        let _ = compile(&spec);
+        let reparsed = parse(&canon).unwrap_or_else(|d| {
+            panic!("{}: canonical form rejected:\n{}", spec.name, render_diags(&d))
+        });
+        assert_eq!(reparsed, spec, "{}: print/parse round trip drifted", spec.name);
     }
 }
 
@@ -97,10 +66,9 @@ fn expect_disagreement_is_a_typed_mismatch() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-gated: full corpus replay is release-only")]
 fn release_corpus_replays_green_and_matches_goldens() {
-    let compiled = compiled_corpus();
     let golden_dir = corpus_dir().join("golden");
     let mut failures = Vec::new();
-    for c in &compiled {
+    for (_, c) in &corpus() {
         let outcome = run_compiled(c);
         for v in outcome.violations() {
             failures.push(format!("{}: violation: {v}", outcome.name));
@@ -119,22 +87,4 @@ fn release_corpus_replays_green_and_matches_goldens() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "release-gated: full corpus replay is release-only")]
-fn release_corpus_is_thread_count_invariant() {
-    let compiled = compiled_corpus();
-    let one = run_corpus_parallel(&compiled, 1);
-    let three = run_corpus_parallel(&compiled, 3);
-    assert_eq!(one.len(), three.len());
-    for (a, b) in one.iter().zip(&three) {
-        assert_eq!(a.name, b.name, "slot order must match input order");
-        assert_eq!(
-            a.to_json(),
-            b.to_json(),
-            "{}: report differs between 1 and 3 threads",
-            a.name
-        );
-    }
 }

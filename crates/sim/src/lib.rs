@@ -16,7 +16,8 @@
 //!   paper's Figure 9 recovery timeline and drive the chaos oracles,
 //! * [`metrics::Metrics`] — deterministic counters and fixed-bucket
 //!   histograms fed by every trace emission,
-//! * [`export`] — JSON-lines and Chrome `trace_event` exporters.
+//! * [`export`] — JSON-lines and Chrome `trace_event` exporters,
+//! * [`par_map`] — the one worker pool every parallel runner uses.
 //!
 //! # Example
 //!
@@ -34,12 +35,14 @@
 
 pub mod export;
 pub mod metrics;
+pub mod par;
 pub mod rng;
 pub mod sched;
 pub mod time;
 pub mod trace;
 
 pub use metrics::{HistId, Histogram, Metrics, Samples};
+pub use par::{default_threads, par_map};
 pub use rng::SimRng;
 pub use sched::{EventId, HeapScheduler, Scheduler};
 pub use time::{SimDuration, SimTime};

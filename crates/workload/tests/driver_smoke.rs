@@ -1,7 +1,8 @@
 //! End-to-end smoke tests for the workload driver: the demo suite
 //! runs, recovers from its scripted hang, and replays byte-for-byte.
 
-use ftgm_workload::{demo_suite, run_spec, run_suite_parallel, reports_to_json};
+use ftgm_sim::par_map;
+use ftgm_workload::{demo_suite, reports_to_json, run_spec};
 
 #[test]
 fn demo_hang_recovers_under_load() {
@@ -45,10 +46,11 @@ fn demo_hang_recovers_under_load() {
 
 #[test]
 fn suite_replays_byte_identically() {
-    let a = reports_to_json(&run_suite_parallel(&demo_suite(), 1));
-    let b = reports_to_json(&run_suite_parallel(&demo_suite(), 3));
+    let suite = demo_suite();
+    let a = reports_to_json(&par_map(&suite, 1, run_spec));
+    let b = reports_to_json(&par_map(&suite, 3, run_spec));
     assert_eq!(a, b, "thread count must not leak into reports");
-    let c = reports_to_json(&run_suite_parallel(&demo_suite(), 3));
+    let c = reports_to_json(&par_map(&suite, 3, run_spec));
     assert_eq!(b, c, "repeated runs must serialize identically");
 }
 

@@ -4,8 +4,10 @@
 //! whether the campaign runs on one worker thread or several, and across
 //! repeated runs in the same process.
 //!
-//! Release-gated (like `chaos_smoke`): the standard scenario set simulates
+//! Release-gated (like `chaos_smoke`): the `scenarios/` corpus simulates
 //! tens of seconds of fabric time per scenario.
+
+use std::path::Path;
 
 use ftgm_bench::mpi::{
     check as mpi_check, mpi_cells, run_cells as run_mpi_cells, run_mpi_cell,
@@ -14,9 +16,20 @@ use ftgm_bench::mpi::{
 use ftgm_bench::scale::{
     run_sched_cell, run_world_cell, scale_spec, sched_cells, summary_json, world_cells,
 };
-use ftgm_faults::campaign::run_scenarios_parallel;
-use ftgm_faults::chaos::{correlated_scenarios, standard_scenarios};
-use ftgm_workload::{demo_suite, reports_to_json, run_suite_parallel};
+use ftgm_faults::chaos::run_scenario_artifacts;
+use ftgm_scenario::{load_corpus, run_compiled, CompiledScenario};
+use ftgm_sim::par_map;
+use ftgm_workload::{demo_suite, reports_to_json, run_spec};
+
+/// Every `scenarios/*.ftsc` file, compiled, in sorted order.
+fn corpus() -> Vec<CompiledScenario> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+    load_corpus(Path::new(dir))
+        .unwrap_or_else(|e| panic!("{}", e.join("\n")))
+        .into_iter()
+        .map(|(_, c)| c)
+        .collect()
+}
 
 /// Asserts a golden benchmark artifact is integer-only: after stripping
 /// string literals, no `.`, `e`, or `E` may remain — floats (and their
@@ -96,9 +109,9 @@ fn bench_scale_json_matches_golden_schema() {
     );
 }
 
-/// Golden schema for `BENCH_chaos.json` (written by the `chaosx` bin):
-/// correlated-fault sweep rollup — all required keys present, integers
-/// only, and no committed violations.
+/// Golden schema for `BENCH_chaos.json` (written by the `scenariox` bin):
+/// the corpus's chaos rollup — all required keys present, integers only,
+/// and no committed violations.
 #[test]
 fn bench_chaos_json_matches_golden_schema() {
     let json = read_artifact("BENCH_chaos.json");
@@ -114,12 +127,12 @@ fn bench_chaos_json_matches_golden_schema() {
             "max_blackout_ns", "delivered",
         ],
     );
-    assert!(json.contains("\"schema\": \"ftgm-chaos-v1\""));
+    assert!(json.contains("\"schema\": \"ftgm-chaos-v2\""));
     assert!(
         json.contains("\"violations\": 0"),
         "a BENCH_chaos.json with oracle violations must never be committed"
     );
-    // Every verdict in the sweep must be an acceptable outcome — a
+    // Every verdict in the corpus must be an acceptable outcome — a
     // committed artifact where some scenario hung silently is a bug.
     assert!(
         !json.contains("\"verdict\": \"violated\""),
@@ -275,8 +288,8 @@ fn scale_world_reports_are_byte_identical_across_thread_counts() {
         .map(|c| scale_spec(c, 2003))
         .collect();
     assert_eq!(specs.len(), 2, "steady and hang cells expected");
-    let single = reports_to_json(&run_suite_parallel(&specs, 1));
-    let multi = reports_to_json(&run_suite_parallel(&specs, 3));
+    let single = reports_to_json(&par_map(&specs, 1, run_spec));
+    let multi = reports_to_json(&par_map(&specs, 3, run_spec));
     assert!(!single.is_empty());
     assert_eq!(single, multi, "thread count leaked into 256-node reports");
 }
@@ -284,65 +297,34 @@ fn scale_world_reports_are_byte_identical_across_thread_counts() {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "release-gated: full chaos scenarios are slow unoptimized (ci.sh runs this with --release)"
+    ignore = "release-gated: the whole corpus is slow unoptimized (ci.sh runs this with --release)"
 )]
 fn exports_are_byte_identical_across_thread_counts() {
-    let scenarios = standard_scenarios();
-    let single = run_scenarios_parallel(&scenarios, 2003, 1);
-    let multi = run_scenarios_parallel(&scenarios, 2003, 3);
-    assert_eq!(single.len(), multi.len());
+    // Every corpus scenario — the coordinator's poll loop, the reroute
+    // planner, the load runs and the blackout accounting included — must
+    // produce the same outcome, trace and metrics bytes whether the
+    // corpus fans out over one worker thread or three.
+    let corpus = corpus();
+    let single = par_map(&corpus, 1, run_compiled);
+    let multi = par_map(&corpus, 3, run_compiled);
+    assert_eq!(single.len(), corpus.len());
+    assert_eq!(multi.len(), corpus.len());
     for (a, b) in single.iter().zip(&multi) {
-        let name = &a.report.scenario;
-        assert_eq!(a.report.scenario, b.report.scenario, "output order preserved");
-        assert!(!a.trace_jsonl.is_empty(), "{name}: trace exported");
-        assert_eq!(a.trace_jsonl, b.trace_jsonl, "{name}: event stream diverged");
-        assert_eq!(a.chrome_trace, b.chrome_trace, "{name}: chrome trace diverged");
-        assert_eq!(a.metrics_json, b.metrics_json, "{name}: metrics diverged");
+        let name = &a.name;
+        assert_eq!(a.name, b.name, "output order preserved");
+        assert_eq!(a.to_json(), b.to_json(), "{name}: outcome diverged");
+        assert_eq!(a.chaos.trace_jsonl, b.chaos.trace_jsonl, "{name}: event stream diverged");
+        assert_eq!(a.chaos.chrome_trace, b.chaos.chrome_trace, "{name}: chrome trace diverged");
         assert_eq!(
-            a.report.to_json(),
-            b.report.to_json(),
-            "{name}: report diverged"
+            a.chaos.report.metrics.to_json_indented(0),
+            b.chaos.report.metrics.to_json_indented(0),
+            "{name}: metrics diverged"
         );
     }
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "release-gated: correlated scenarios simulate seconds of fabric time (ci.sh runs this with --release)"
-)]
-fn correlated_exports_are_byte_identical_across_thread_counts() {
-    // One scenario per correlated-fault class (with the spine-death
-    // reroute on the 64-host fat tree included): the coordinator's poll
-    // loop, the reroute planner, and the blackout accounting must all be
-    // invariant to how the sweep fans out over worker threads.
-    let picks = [
-        "star8-two-nic-hang",
-        "ring8-switch-death",
-        "fat_tree64-switch-death",
-        "star8-flap-in-recovery",
-        "ring8-cascade",
-        "ring8-stall-escalates",
-    ];
-    let scenarios: Vec<_> = correlated_scenarios()
-        .into_iter()
-        .filter(|s| picks.contains(&s.name.as_str()))
-        .collect();
-    assert_eq!(scenarios.len(), picks.len(), "scenario names drifted");
-    let single = run_scenarios_parallel(&scenarios, 2003, 1);
-    let multi = run_scenarios_parallel(&scenarios, 2003, 3);
-    assert_eq!(single.len(), multi.len());
-    for (a, b) in single.iter().zip(&multi) {
-        let name = &a.report.scenario;
-        assert_eq!(a.report.scenario, b.report.scenario, "output order preserved");
-        assert_eq!(a.trace_jsonl, b.trace_jsonl, "{name}: event stream diverged");
-        assert_eq!(a.metrics_json, b.metrics_json, "{name}: metrics diverged");
-        assert_eq!(
-            a.report.to_json(),
-            b.report.to_json(),
-            "{name}: report diverged"
-        );
-    }
+    assert!(
+        single.iter().any(|o| !o.chaos.trace_jsonl.is_empty()),
+        "no scenario exported a trace"
+    );
 }
 
 #[test]
@@ -351,13 +333,26 @@ fn correlated_exports_are_byte_identical_across_thread_counts() {
     ignore = "release-gated: full chaos scenarios are slow unoptimized (ci.sh runs this with --release)"
 )]
 fn exports_are_byte_identical_across_repeated_runs() {
-    let scenarios = standard_scenarios();
-    let first = run_scenarios_parallel(&scenarios, 7, 2);
-    let second = run_scenarios_parallel(&scenarios, 7, 2);
-    for (a, b) in first.iter().zip(&second) {
-        let name = &a.report.scenario;
+    let standard = [
+        "double-flip-during-reload",
+        "back-to-back-hangs",
+        "persistent-hang-escalates",
+        "ring4-two-nodes-flipped",
+        "star3-link-flap",
+        "lossy-link-exactly-once",
+    ];
+    let scenarios: Vec<_> = corpus()
+        .into_iter()
+        .filter(|c| standard.contains(&c.name.as_str()))
+        .map(|c| c.chaos)
+        .collect();
+    assert_eq!(scenarios.len(), standard.len(), "scenario names drifted");
+    for s in &scenarios {
+        let a = run_scenario_artifacts(s, 7);
+        let b = run_scenario_artifacts(s, 7);
+        let name = &s.name;
         assert_eq!(a.trace_jsonl, b.trace_jsonl, "{name}: replay diverged");
-        assert_eq!(a.metrics_json, b.metrics_json, "{name}: metrics replay diverged");
+        assert_eq!(a.report.to_json(), b.report.to_json(), "{name}: report replay diverged");
     }
 }
 
@@ -369,8 +364,9 @@ fn exports_are_byte_identical_across_repeated_runs() {
 fn workload_slo_reports_are_byte_identical_across_thread_counts() {
     // Same spec + seed ⇒ byte-identical SloReport JSON, independent of
     // how many worker threads the suite fans out over.
-    let single = reports_to_json(&run_suite_parallel(&demo_suite(), 1));
-    let multi = reports_to_json(&run_suite_parallel(&demo_suite(), 3));
+    let suite = demo_suite();
+    let single = reports_to_json(&par_map(&suite, 1, run_spec));
+    let multi = reports_to_json(&par_map(&suite, 3, run_spec));
     assert!(!single.is_empty());
     assert_eq!(single, multi, "thread count leaked into SLO reports");
 }
@@ -381,11 +377,12 @@ fn workload_slo_reports_are_byte_identical_across_thread_counts() {
     ignore = "release-gated: the demo suite simulates seconds of fabric time (ci.sh runs this with --release)"
 )]
 fn workload_slo_reports_are_byte_identical_across_repeated_runs() {
-    let first = reports_to_json(&run_suite_parallel(&demo_suite(), 2));
-    let second = reports_to_json(&run_suite_parallel(&demo_suite(), 2));
+    let suite = demo_suite();
+    let first = reports_to_json(&par_map(&suite, 2, run_spec));
+    let second = reports_to_json(&par_map(&suite, 2, run_spec));
     assert_eq!(first, second, "SLO replay diverged");
     // The reports actually carry signal: the scripted hang recovered.
-    let reports = run_suite_parallel(&demo_suite(), 2);
+    let reports = par_map(&suite, 2, run_spec);
     let hang = reports
         .iter()
         .filter(|r| r.name == "demo_hang")
